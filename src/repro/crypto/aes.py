@@ -7,17 +7,27 @@ whenever the simulator runs in *functional* mode — i.e. when cache lines
 are really encrypted so that tests can verify end-to-end confidentiality
 properties (wrong key => garbage plaintext, counter reuse detection, etc.).
 
-The implementation follows FIPS-197 directly: SubBytes / ShiftRows /
-MixColumns / AddRoundKey over a 4x4 column-major state, with a key
-schedule expanded once per key.  It is deliberately straightforward rather
-than table-optimised; the timing model never calls into it (timing uses
-the paper's 40 ns AES latency constant), so raw speed only matters for the
-functional test suite.
+The timing model never calls into it (timing uses the paper's 40 ns AES
+latency constant), but raw speed still matters outside the test suite.
+Every functional pad is four AES blocks, so the crash sweep's Osiris
+trial decryptions are dominated by this module, and file-create key
+wrapping plus OTT spill encryption put about a fifth of the service
+model's host time here.
+
+The cipher is the standard 32-bit T-table formulation of FIPS-197.  The
+state is four big-endian column words.  ``_TE0``..``_TE3`` fold SubBytes,
+ShiftRows and MixColumns of one byte into one word lookup, and
+``_TD0``..``_TD3`` do the same for the inverse cipher.  All tables are
+built once at import from the S-box.  Each key's schedule is expanded
+once into round-key words.  The decryption schedule (the equivalent
+inverse cipher's InvMixColumns'd round keys) is built on first use,
+because most keys only ever encrypt.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import struct
+from typing import List, Optional, Tuple
 
 __all__ = ["AES128", "aes128_encrypt_block", "aes128_decrypt_block"]
 
@@ -52,90 +62,80 @@ for _i, _v in enumerate(_SBOX):
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
-
-def _xtime(a: int) -> int:
-    """Multiply by x (i.e. 2) in GF(2^8) with the AES polynomial."""
-    a <<= 1
-    if a & 0x100:
-        a ^= 0x11B
-    return a & 0xFF
+_Tables = Tuple[List[int], List[int], List[int], List[int]]
 
 
-def _gmul(a: int, b: int) -> int:
-    """General GF(2^8) multiply used by InvMixColumns."""
+def _gf_mul(a: int, b: int) -> int:
+    """GF(2^8) multiply with the AES polynomial (table building only)."""
     result = 0
     while b:
         if b & 1:
             result ^= a
-        a = _xtime(a)
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
         b >>= 1
     return result
 
 
-def _expand_key(key: bytes) -> List[List[int]]:
-    """Expand a 16-byte key into 11 round keys of 16 bytes each."""
+def _round_tables(sbox: List[int], c0: int, c1: int, c2: int, c3: int) -> _Tables:
+    """Four round tables for an S-box and a MixColumns column
+    ``(c0, c1, c2, c3)``: table ``k`` maps a byte to its column word
+    rotated right by ``8k`` bits, i.e. to byte lane ``k`` of the state."""
+    t0 = [
+        (_gf_mul(s, c0) << 24) | (_gf_mul(s, c1) << 16) | (_gf_mul(s, c2) << 8)
+        | _gf_mul(s, c3)
+        for s in sbox
+    ]
+    return (
+        t0,
+        [(w >> 8) | ((w & 0xFF) << 24) for w in t0],
+        [(w >> 16) | ((w & 0xFFFF) << 16) for w in t0],
+        [(w >> 24) | ((w & 0xFFFFFF) << 8) for w in t0],
+    )
+
+
+# Round tables: SubBytes + MixColumns (encryption), InvSubBytes +
+# InvMixColumns (decryption), one per byte position of a column word.
+_TE0, _TE1, _TE2, _TE3 = _round_tables(_SBOX, 2, 1, 1, 3)
+_TD0, _TD1, _TD2, _TD3 = _round_tables(_INV_SBOX, 14, 9, 13, 11)
+# Final-round tables: (Inv)SubBytes alone, pre-shifted to each byte lane.
+_SE3, _SE2, _SE1, _SE0 = (
+    [s << shift for s in _SBOX] for shift in (24, 16, 8, 0)
+)
+_SD3, _SD2, _SD1, _SD0 = (
+    [s << shift for s in _INV_SBOX] for shift in (24, 16, 8, 0)
+)
+
+_BLOCK = struct.Struct(">4I")
+
+_RoundKey = Tuple[int, int, int, int]
+
+
+def _expand_key(key: bytes) -> List[_RoundKey]:
+    """Expand a 16-byte key into 11 round keys of four words each."""
     if len(key) != 16:
         raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
-    words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
+    w = list(_BLOCK.unpack(key))
     for i in range(4, 44):
-        temp = list(words[i - 1])
+        t = w[i - 1]
         if i % 4 == 0:
-            temp = temp[1:] + temp[:1]
-            temp = [_SBOX[b] for b in temp]
-            temp[0] ^= _RCON[i // 4 - 1]
-        words.append([t ^ w for t, w in zip(temp, words[i - 4])])
-    return [sum(words[4 * r : 4 * r + 4], []) for r in range(11)]
+            # SubWord(RotWord(t)) ^ Rcon
+            t = (
+                _SE3[(t >> 16) & 0xFF] ^ _SE2[(t >> 8) & 0xFF]
+                ^ _SE1[t & 0xFF] ^ _SBOX[t >> 24] ^ (_RCON[i // 4 - 1] << 24)
+            )
+        w.append(w[i - 4] ^ t)
+    return [tuple(w[r : r + 4]) for r in range(0, 44, 4)]
 
 
-def _add_round_key(state: List[int], round_key: Sequence[int]) -> None:
-    for i in range(16):
-        state[i] ^= round_key[i]
-
-
-def _sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _SBOX[state[i]]
-
-
-def _inv_sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _INV_SBOX[state[i]]
-
-
-# The state is kept in flat row-major byte order of the input block; AES's
-# column-major indexing is folded into these row shuffles.
-_SHIFT_ROWS = [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11]
-_INV_SHIFT_ROWS = [0] * 16
-for _i, _v in enumerate(_SHIFT_ROWS):
-    _INV_SHIFT_ROWS[_v] = _i
-
-
-def _shift_rows(state: List[int]) -> List[int]:
-    return [state[i] for i in _SHIFT_ROWS]
-
-
-def _inv_shift_rows(state: List[int]) -> List[int]:
-    return [state[i] for i in _INV_SHIFT_ROWS]
-
-
-def _mix_columns(state: List[int]) -> None:
-    for c in range(4):
-        i = 4 * c
-        a0, a1, a2, a3 = state[i : i + 4]
-        state[i + 0] = _xtime(a0) ^ _xtime(a1) ^ a1 ^ a2 ^ a3
-        state[i + 1] = a0 ^ _xtime(a1) ^ _xtime(a2) ^ a2 ^ a3
-        state[i + 2] = a0 ^ a1 ^ _xtime(a2) ^ _xtime(a3) ^ a3
-        state[i + 3] = _xtime(a0) ^ a0 ^ a1 ^ a2 ^ _xtime(a3)
-
-
-def _inv_mix_columns(state: List[int]) -> None:
-    for c in range(4):
-        i = 4 * c
-        a0, a1, a2, a3 = state[i : i + 4]
-        state[i + 0] = _gmul(a0, 14) ^ _gmul(a1, 11) ^ _gmul(a2, 13) ^ _gmul(a3, 9)
-        state[i + 1] = _gmul(a0, 9) ^ _gmul(a1, 14) ^ _gmul(a2, 11) ^ _gmul(a3, 13)
-        state[i + 2] = _gmul(a0, 13) ^ _gmul(a1, 9) ^ _gmul(a2, 14) ^ _gmul(a3, 11)
-        state[i + 3] = _gmul(a0, 11) ^ _gmul(a1, 13) ^ _gmul(a2, 9) ^ _gmul(a3, 14)
+def _inv_mix_word(w: int) -> int:
+    """InvMixColumns of one column word (S-box first cancels the
+    inverse S-box folded into the ``_TD`` tables)."""
+    return (
+        _TD0[_SBOX[w >> 24]] ^ _TD1[_SBOX[(w >> 16) & 0xFF]]
+        ^ _TD2[_SBOX[(w >> 8) & 0xFF]] ^ _TD3[_SBOX[w & 0xFF]]
+    )
 
 
 class AES128:
@@ -150,7 +150,8 @@ class AES128:
 
     def __init__(self, key: bytes) -> None:
         self._key = bytes(key)
-        self._round_keys = _expand_key(self._key)
+        self._enc_keys = _expand_key(self._key)
+        self._dec_keys: Optional[List[_RoundKey]] = None
 
     @property
     def key(self) -> bytes:
@@ -159,34 +160,76 @@ class AES128:
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-        state = list(block)
-        rk = self._round_keys
-        _add_round_key(state, rk[0])
-        for rnd in range(1, 10):
-            _sub_bytes(state)
-            state = _shift_rows(state)
-            _mix_columns(state)
-            _add_round_key(state, rk[rnd])
-        _sub_bytes(state)
-        state = _shift_rows(state)
-        _add_round_key(state, rk[10])
-        return bytes(state)
+        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+        rk = self._enc_keys
+        k0, k1, k2, k3 = rk[0]
+        s0, s1, s2, s3 = _BLOCK.unpack(block)
+        s0 ^= k0
+        s1 ^= k1
+        s2 ^= k2
+        s3 ^= k3
+        for k0, k1, k2, k3 in rk[1:10]:
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
+                ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ k0,
+                te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
+                ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ k1,
+                te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
+                ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ k2,
+                te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
+                ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ k3,
+            )
+        f3, f2, f1, f0 = _SE3, _SE2, _SE1, _SE0
+        k0, k1, k2, k3 = rk[10]
+        return _BLOCK.pack(
+            f3[s0 >> 24] ^ f2[(s1 >> 16) & 0xFF] ^ f1[(s2 >> 8) & 0xFF] ^ f0[s3 & 0xFF] ^ k0,
+            f3[s1 >> 24] ^ f2[(s2 >> 16) & 0xFF] ^ f1[(s3 >> 8) & 0xFF] ^ f0[s0 & 0xFF] ^ k1,
+            f3[s2 >> 24] ^ f2[(s3 >> 16) & 0xFF] ^ f1[(s0 >> 8) & 0xFF] ^ f0[s1 & 0xFF] ^ k2,
+            f3[s3 >> 24] ^ f2[(s0 >> 16) & 0xFF] ^ f1[(s1 >> 8) & 0xFF] ^ f0[s2 & 0xFF] ^ k3,
+        )
+
+    def _decryption_keys(self) -> List[_RoundKey]:
+        """Equivalent-inverse-cipher schedule: round keys in reverse,
+        with InvMixColumns applied to the nine middle ones."""
+        if self._dec_keys is None:
+            enc = self._enc_keys
+            self._dec_keys = (
+                [enc[10]]
+                + [tuple(_inv_mix_word(w) for w in enc[r]) for r in range(9, 0, -1)]
+                + [enc[0]]
+            )
+        return self._dec_keys
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-        state = list(block)
-        rk = self._round_keys
-        _add_round_key(state, rk[10])
-        state = _inv_shift_rows(state)
-        _inv_sub_bytes(state)
-        for rnd in range(9, 0, -1):
-            _add_round_key(state, rk[rnd])
-            _inv_mix_columns(state)
-            state = _inv_shift_rows(state)
-            _inv_sub_bytes(state)
-        _add_round_key(state, rk[0])
-        return bytes(state)
+        td0, td1, td2, td3 = _TD0, _TD1, _TD2, _TD3
+        rk = self._decryption_keys()
+        k0, k1, k2, k3 = rk[0]
+        s0, s1, s2, s3 = _BLOCK.unpack(block)
+        s0 ^= k0
+        s1 ^= k1
+        s2 ^= k2
+        s3 ^= k3
+        for k0, k1, k2, k3 in rk[1:10]:
+            s0, s1, s2, s3 = (
+                td0[s0 >> 24] ^ td1[(s3 >> 16) & 0xFF]
+                ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ k0,
+                td0[s1 >> 24] ^ td1[(s0 >> 16) & 0xFF]
+                ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ k1,
+                td0[s2 >> 24] ^ td1[(s1 >> 16) & 0xFF]
+                ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ k2,
+                td0[s3 >> 24] ^ td1[(s2 >> 16) & 0xFF]
+                ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ k3,
+            )
+        f3, f2, f1, f0 = _SD3, _SD2, _SD1, _SD0
+        k0, k1, k2, k3 = rk[10]
+        return _BLOCK.pack(
+            f3[s0 >> 24] ^ f2[(s3 >> 16) & 0xFF] ^ f1[(s2 >> 8) & 0xFF] ^ f0[s1 & 0xFF] ^ k0,
+            f3[s1 >> 24] ^ f2[(s0 >> 16) & 0xFF] ^ f1[(s3 >> 8) & 0xFF] ^ f0[s2 & 0xFF] ^ k1,
+            f3[s2 >> 24] ^ f2[(s1 >> 16) & 0xFF] ^ f1[(s0 >> 8) & 0xFF] ^ f0[s3 & 0xFF] ^ k2,
+            f3[s3 >> 24] ^ f2[(s2 >> 16) & 0xFF] ^ f1[(s1 >> 8) & 0xFF] ^ f0[s0 & 0xFF] ^ k3,
+        )
 
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:

@@ -26,9 +26,10 @@ __all__ = ["generate_otp", "xor_bytes", "compose_pads", "apply_pad", "OTPEngine"
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    n = len(a)
+    if n != len(b):
+        raise ValueError(f"length mismatch: {n} vs {len(b)}")
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(n, "little")
 
 
 def generate_otp(cipher: AES128, iv: CounterIV, length: int = 64) -> bytes:

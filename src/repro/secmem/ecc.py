@@ -12,6 +12,12 @@ This module implements the classic Hamming(72,64) SEC-DED code per
 single-bit correction and double-bit detection — enough structure that a
 *wrong* counter's decryption fails the check with overwhelming
 probability, which is exactly the property Osiris recovery leans on.
+
+Encoding is linear over GF(2): the ECC of ``a ^ b`` is the ECC of ``a``
+XOR the ECC of ``b``.  ``_encode_definitional`` spells the code out bit
+by bit; at import it encodes the 64 unit vectors, and those codewords
+are folded into eight 256-entry tables, one per byte of the word.
+``encode_word`` is then eight lookups XORed together.
 """
 
 from __future__ import annotations
@@ -45,10 +51,9 @@ _DATA_POSITIONS = _data_positions()
 _CODEWORD_BITS = _DATA_POSITIONS[-1]  # highest used position
 
 
-def encode_word(word: int) -> int:
-    """Compute the 8-bit ECC (7 Hamming parity bits + overall parity)."""
-    if word < 0 or word >= (1 << _DATA_BITS):
-        raise ValueError(f"word out of 64-bit range: {word:#x}")
+def _encode_definitional(word: int) -> int:
+    """Hamming(72,64) SEC-DED ECC of a 64-bit word, computed bit by bit:
+    7 Hamming parity bits + an overall parity bit."""
     # Scatter data bits into codeword positions.
     codeword = 0
     for bit_index, pos in enumerate(_DATA_POSITIONS):
@@ -67,6 +72,34 @@ def encode_word(word: int) -> int:
     # Overall parity over the full codeword for double-error detection.
     overall = bin(codeword).count("1") & 1
     return parity | (overall << 7)
+
+
+def _byte_tables() -> List[List[int]]:
+    """Per byte lane, the ECC of every byte value in that lane."""
+    tables = []
+    for lane in range(_DATA_BITS // 8):
+        units = [_encode_definitional(1 << (8 * lane + bit)) for bit in range(8)]
+        table = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            table[value] = table[value ^ low] ^ units[low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+_T0, _T1, _T2, _T3, _T4, _T5, _T6, _T7 = _byte_tables()
+
+
+def encode_word(word: int) -> int:
+    """Compute the 8-bit ECC (7 Hamming parity bits + overall parity)."""
+    if word < 0 or word >= (1 << _DATA_BITS):
+        raise ValueError(f"word out of 64-bit range: {word:#x}")
+    return (
+        _T0[word & 0xFF] ^ _T1[(word >> 8) & 0xFF]
+        ^ _T2[(word >> 16) & 0xFF] ^ _T3[(word >> 24) & 0xFF]
+        ^ _T4[(word >> 32) & 0xFF] ^ _T5[(word >> 40) & 0xFF]
+        ^ _T6[(word >> 48) & 0xFF] ^ _T7[word >> 56]
+    )
 
 
 def check_word(word: int, ecc: int) -> bool:

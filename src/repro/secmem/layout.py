@@ -20,11 +20,21 @@ Layout (one line = 64 B):
                                            and preserves the 1:1 pairing)
     [ott_base, +ott_region_bytes)          encrypted OTT hash table
     [mt_base(level), ...)                  Merkle-tree levels, leaves up
+
+Every config-derived quantity (region sizes and bases, the Merkle level
+count, ``total_bytes``) is a ``cached_property``: it is computed on first
+use and then read from the instance, because the controller asks for it
+on every line access.  The Merkle geometry is one table of ``(base,
+nodes)`` per stored level, so ``merkle_node_addr`` is an index and a
+multiply.  The cache lives outside the dataclass fields, so equality,
+hashing, ``dataclasses.replace`` and pickles see only the three fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Dict, Tuple
 
 from ..mem.address import LINE_SIZE, PAGE_SIZE
 
@@ -40,39 +50,43 @@ class MetadataLayout:
     merkle_arity: int = 8
 
     def __post_init__(self) -> None:
-        if self.data_bytes % PAGE_SIZE:
-            raise ValueError("data_bytes must be page aligned")
+        if self.data_bytes <= 0 or self.data_bytes % PAGE_SIZE:
+            raise ValueError("data_bytes must be positive and page aligned")
         if self.ott_region_bytes % LINE_SIZE:
             raise ValueError("ott_region_bytes must be line aligned")
         if self.merkle_arity < 2:
             raise ValueError("merkle arity must be >= 2")
 
+    def __getstate__(self) -> Dict[str, int]:
+        """Pickle the fields only, never the cached geometry."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     # -- region sizes -------------------------------------------------------
 
-    @property
+    @cached_property
     def num_pages(self) -> int:
         return self.data_bytes // PAGE_SIZE
 
-    @property
+    @cached_property
     def counter_region_bytes(self) -> int:
         """Bytes of one counter array (MECB or FECB): one line per page."""
         return self.num_pages * LINE_SIZE
 
     # -- region bases -------------------------------------------------------
 
-    @property
+    @cached_property
     def mecb_base(self) -> int:
         return self.data_bytes
 
-    @property
+    @cached_property
     def fecb_base(self) -> int:
         return self.mecb_base + self.counter_region_bytes
 
-    @property
+    @cached_property
     def ott_base(self) -> int:
         return self.fecb_base + self.counter_region_bytes
 
-    @property
+    @cached_property
     def merkle_base(self) -> int:
         return self.ott_base + self.ott_region_bytes
 
@@ -92,7 +106,7 @@ class MetadataLayout:
             raise ValueError(f"OTT slot {slot} outside the OTT region")
         return addr
 
-    @property
+    @cached_property
     def ott_slots(self) -> int:
         return self.ott_region_bytes // LINE_SIZE
 
@@ -102,7 +116,7 @@ class MetadataLayout:
 
     # -- Merkle-tree geometry --------------------------------------------------
 
-    @property
+    @cached_property
     def merkle_leaves(self) -> int:
         """Leaf count: every protected metadata line is a leaf.
 
@@ -112,16 +126,25 @@ class MetadataLayout:
         protected_bytes = 2 * self.counter_region_bytes + self.ott_region_bytes
         return protected_bytes // LINE_SIZE
 
-    @property
-    def merkle_levels(self) -> int:
-        """Number of levels including the leaf level (root excluded —
-        the root never lives in memory)."""
-        levels = 1
+    @cached_property
+    def _merkle_level_table(self) -> Tuple[Tuple[int, int], ...]:
+        """``(base address, node count)`` of each stored level, leaf side
+        first; the last level is the root's single child."""
+        table = []
+        base = self.merkle_base
         nodes = self.merkle_leaves
-        while nodes > self.merkle_arity:
+        while True:
             nodes = -(-nodes // self.merkle_arity)  # ceil division
-            levels += 1
-        return levels
+            table.append((base, nodes))
+            base += nodes * LINE_SIZE
+            if nodes == 1:
+                return tuple(table)
+
+    @cached_property
+    def merkle_levels(self) -> int:
+        """Number of stored node levels, from the leaves' parents up to
+        the root's only child (the root itself never lives in memory)."""
+        return len(self._merkle_level_table)
 
     def merkle_leaf_index(self, metadata_addr: int) -> int:
         """Leaf index of a protected metadata line address."""
@@ -137,22 +160,16 @@ class MetadataLayout:
         """
         if level < 0:
             raise ValueError("level must be >= 0")
-        base = self.merkle_base
-        nodes = -(-self.merkle_leaves // self.merkle_arity)
-        for _ in range(level):
-            base += nodes * LINE_SIZE
-            nodes = -(-nodes // self.merkle_arity)
+        table = self._merkle_level_table
+        if level >= len(table):
+            raise ValueError(f"level {level} outside the tree ({len(table)} levels)")
+        base, nodes = table[level]
         if index >= nodes:
             raise ValueError(f"node index {index} out of range at level {level}")
         return base + index * LINE_SIZE
 
-    @property
+    @cached_property
     def total_bytes(self) -> int:
         """Upper bound of the whole layout (for address-space checks)."""
-        base = self.merkle_base
-        nodes = -(-self.merkle_leaves // self.merkle_arity)
-        while True:
-            base += nodes * LINE_SIZE
-            if nodes == 1:
-                return base
-            nodes = -(-nodes // self.merkle_arity)
+        base, nodes = self._merkle_level_table[-1]
+        return base + nodes * LINE_SIZE

@@ -64,12 +64,7 @@ class BonsaiMerkleTree:
     @property
     def num_levels(self) -> int:
         """Internal levels stored in memory (root excluded)."""
-        levels = 0
-        nodes = self.layout.merkle_leaves
-        while nodes > 1:
-            nodes = -(-nodes // self.arity)
-            levels += 1
-        return levels
+        return self.layout.merkle_levels
 
     def path_to_root(self, metadata_addr: int) -> List[int]:
         """Memory addresses of the internal nodes covering a leaf.
@@ -79,10 +74,8 @@ class BonsaiMerkleTree:
         """
         index = self.layout.merkle_leaf_index(metadata_addr)
         addrs: List[int] = []
-        nodes = self.layout.merkle_leaves
         for level in range(self.num_levels):
             index //= self.arity
-            nodes = -(-nodes // self.arity)
             addrs.append(self.layout.merkle_node_addr(level, index))
         return addrs
 
@@ -91,12 +84,8 @@ class BonsaiMerkleTree:
     def _compute_default_digests(self) -> List[bytes]:
         """Digest of an all-default subtree at each level (leaf level = 0)."""
         digests = [_ZERO_DIGEST]
-        nodes = self.layout.merkle_leaves
-        while nodes > 1:
-            digests.append(
-                hashlib.sha256(digests[-1] * self.arity).digest()
-            )
-            nodes = -(-nodes // self.arity)
+        for _ in range(self.num_levels):
+            digests.append(hashlib.sha256(digests[-1] * self.arity).digest())
         return digests
 
     def _leaf_digest(self, leaf_index: int) -> bytes:

@@ -1,5 +1,8 @@
 """AES-128 primitive: FIPS-197 conformance, inversion, error handling."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,19 @@ FIPS_CIPHER = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 APPB_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 APPB_PLAIN = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
 APPB_CIPHER = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+
+# NIST SP 800-38A F.1.1 ECB-AES128 (same key as Appendix B).
+SP800_38A_ECB = [
+    ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97"),
+    ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf"),
+    ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688"),
+    ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4"),
+]
+
+# sha256 over encrypt_block(b) + decrypt_block(b) for 1000 seeded
+# (key, block) pairs, recorded from the byte-oriented FIPS-197 rounds
+# the table-driven cipher replaced.
+SEEDED_DIGEST = "067192c191bb6ece4add61bcb5bc4eb4850fb3aede66c42985957bf0ee3babc5"
 
 
 class TestFipsVectors:
@@ -33,6 +49,34 @@ class TestFipsVectors:
     def test_one_shot_helpers(self):
         assert aes128_encrypt_block(FIPS_KEY, FIPS_PLAIN) == FIPS_CIPHER
         assert aes128_decrypt_block(FIPS_KEY, FIPS_CIPHER) == FIPS_PLAIN
+
+
+class TestSp80038aVectors:
+    @pytest.mark.parametrize("plain,cipher", SP800_38A_ECB)
+    def test_encrypt(self, plain, cipher):
+        assert AES128(APPB_KEY).encrypt_block(bytes.fromhex(plain)) == bytes.fromhex(cipher)
+
+    @pytest.mark.parametrize("plain,cipher", SP800_38A_ECB)
+    def test_decrypt(self, plain, cipher):
+        assert AES128(APPB_KEY).decrypt_block(bytes.fromhex(cipher)) == bytes.fromhex(plain)
+
+
+class TestSeededDigest:
+    def test_many_keys_bit_identical(self):
+        rng = random.Random(2022)
+        h = hashlib.sha256()
+        for _ in range(1000):
+            key = rng.randbytes(16)
+            block = rng.randbytes(16)
+            cipher = AES128(key)
+            h.update(cipher.encrypt_block(block) + cipher.decrypt_block(block))
+        assert h.hexdigest() == SEEDED_DIGEST
+
+    def test_decrypt_first_then_encrypt(self):
+        """The lazily built decryption schedule leaves encryption intact."""
+        cipher = AES128(FIPS_KEY)
+        assert cipher.decrypt_block(FIPS_CIPHER) == FIPS_PLAIN
+        assert cipher.encrypt_block(FIPS_PLAIN) == FIPS_CIPHER
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """SEC-DED ECC codec and Osiris stop-loss crash consistency."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.secmem import (
     encode_line,
     encode_word,
 )
+from repro.secmem.ecc import _encode_definitional
 
 
 class TestEccWord:
@@ -44,6 +47,24 @@ class TestEccWord:
     @settings(max_examples=50, deadline=None)
     def test_any_single_flip_detected_property(self, word, bit):
         assert not check_word(word ^ (1 << bit), encode_word(word))
+
+
+class TestEccTables:
+    """The table-driven encoder against the bit-by-bit definition."""
+
+    def test_unit_vectors(self):
+        for bit in range(64):
+            assert encode_word(1 << bit) == _encode_definitional(1 << bit)
+
+    def test_seeded_words(self):
+        rng = random.Random(72)
+        for _ in range(10_000):
+            word = rng.getrandbits(64)
+            assert encode_word(word) == _encode_definitional(word)
+
+    def test_extremes(self):
+        for word in (0, (1 << 64) - 1):
+            assert encode_word(word) == _encode_definitional(word)
 
 
 class TestEccLine:

@@ -1,5 +1,8 @@
 """Metadata layout: region carving and Merkle geometry."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.mem import LINE_SIZE, PAGE_SIZE
@@ -53,6 +56,8 @@ class TestRegions:
         dict(data_bytes=4097),
         dict(data_bytes=PAGE_SIZE, ott_region_bytes=100),
         dict(data_bytes=PAGE_SIZE, merkle_arity=1),
+        dict(data_bytes=0),
+        dict(data_bytes=-PAGE_SIZE),
     ])
     def test_invalid_layouts_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -91,6 +96,15 @@ class TestMerkleGeometry:
         with pytest.raises(ValueError):
             lay.merkle_node_addr(-1, 0)
 
+    def test_node_level_bounds(self):
+        lay = layout()
+        top = lay.merkle_levels - 1
+        assert lay.merkle_node_addr(top, 0) == lay.total_bytes - LINE_SIZE
+        with pytest.raises(ValueError):
+            lay.merkle_node_addr(lay.merkle_levels, 0)
+        with pytest.raises(ValueError):
+            lay.merkle_node_addr(50, 0)
+
     def test_levels_shrink_by_arity(self):
         lay = layout()
         level0_nodes = -(-lay.merkle_leaves // 8)
@@ -106,3 +120,85 @@ class TestMerkleGeometry:
         # leaves = 2*4M pages + OTT slots; ceil(log8(leaves)) == 8 internal
         # levels + the leaf level itself == 9 levels of tree structure.
         assert lay.merkle_levels == 8
+
+
+def recomputed(lay):
+    """Every derived quantity, computed from the three fields alone."""
+    num_pages = lay.data_bytes // PAGE_SIZE
+    counter = num_pages * LINE_SIZE
+    mecb = lay.data_bytes
+    merkle_base = mecb + 2 * counter + lay.ott_region_bytes
+    leaves = (2 * counter + lay.ott_region_bytes) // LINE_SIZE
+    levels, nodes = 1, leaves
+    while nodes > lay.merkle_arity:
+        nodes = -(-nodes // lay.merkle_arity)
+        levels += 1
+    level_bases = []
+    base, nodes = merkle_base, leaves
+    while True:
+        nodes = -(-nodes // lay.merkle_arity)
+        level_bases.append((base, nodes))
+        base += nodes * LINE_SIZE
+        if nodes == 1:
+            break
+    return {
+        "num_pages": num_pages,
+        "counter_region_bytes": counter,
+        "mecb_base": mecb,
+        "fecb_base": mecb + counter,
+        "ott_base": mecb + 2 * counter,
+        "merkle_base": merkle_base,
+        "ott_slots": lay.ott_region_bytes // LINE_SIZE,
+        "merkle_leaves": leaves,
+        "merkle_levels": levels,
+        "total_bytes": base,
+    }, level_bases
+
+
+GRID = [
+    (data_mb * 1024 * 1024, arity, ott_bytes)
+    for data_mb in (1, 3, 16, 1024)
+    for arity in (2, 3, 8, 16)
+    for ott_bytes in (0, 64, 4096, 256 * 1024)
+]
+
+
+class TestCachedGeometry:
+    @pytest.mark.parametrize("data_bytes,arity,ott_bytes", GRID)
+    def test_cached_values_match_recomputation(self, data_bytes, arity, ott_bytes):
+        lay = MetadataLayout(
+            data_bytes=data_bytes, ott_region_bytes=ott_bytes, merkle_arity=arity
+        )
+        expected, level_bases = recomputed(lay)
+        for _ in range(2):  # first read computes, second reads the cache
+            assert {name: getattr(lay, name) for name in expected} == expected
+        assert len(level_bases) == lay.merkle_levels
+        for level, (base, nodes) in enumerate(level_bases):
+            assert lay.merkle_node_addr(level, 0) == base
+            assert lay.merkle_node_addr(level, nodes - 1) == base + (nodes - 1) * LINE_SIZE
+            with pytest.raises(ValueError):
+                lay.merkle_node_addr(level, nodes)
+
+    def test_identity_ignores_cache(self):
+        fresh = layout()
+        warm = layout()
+        warm.total_bytes, warm.merkle_node_addr(0, 0), warm.mecb_addr(0)
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert pickle.dumps(warm) == pickle.dumps(fresh)
+        assert dataclasses.asdict(warm) == dataclasses.asdict(fresh)
+
+    def test_pickle_roundtrip_recomputes(self):
+        warm = layout()
+        before = warm.total_bytes
+        clone = pickle.loads(pickle.dumps(warm))
+        assert clone == warm
+        assert "total_bytes" not in vars(clone)
+        assert clone.total_bytes == before
+
+    def test_replace_does_not_inherit_cache(self):
+        small = layout(mb=16)
+        small.total_bytes, small.num_pages
+        big = dataclasses.replace(small, data_bytes=32 * 1024 * 1024)
+        assert big.num_pages == 2 * small.num_pages
+        assert big.total_bytes == recomputed(big)[0]["total_bytes"]

@@ -25,6 +25,22 @@ class TestGeometry:
         assert path == sorted(path) or len(path) == len(set(path))
         assert len(path) == tree.num_levels
 
+    @pytest.mark.parametrize("arity", [2, 3, 8, 16])
+    @pytest.mark.parametrize("data_mb,ott_bytes", [(1, 64), (4, 4096), (64, 256 * 1024)])
+    def test_num_levels_is_layout_levels(self, arity, data_mb, ott_bytes):
+        layout = MetadataLayout(
+            data_bytes=data_mb * 1024 * 1024, ott_region_bytes=ott_bytes, merkle_arity=arity
+        )
+        tree = BonsaiMerkleTree(layout)
+        levels, nodes = 0, layout.merkle_leaves
+        while nodes > 1:
+            nodes = -(-nodes // arity)
+            levels += 1
+        assert tree.num_levels == layout.merkle_levels == levels
+        last = layout.merkle_base - LINE_SIZE
+        assert len(tree.path_to_root(last)) == levels
+        assert tree.path_to_root(last)[-1] == layout.total_bytes - LINE_SIZE
+
     def test_sibling_leaves_share_path(self, small_setup):
         layout, _, tree = small_setup
         a = tree.path_to_root(layout.mecb_base)
