@@ -386,6 +386,13 @@ BATCHCHECK_CELLS = [
 
 BATCHCHECK_SIZES = {"DAX-1": 3000, "Fillseq-S": 1200, "Hashmap": 3000}
 
+#: One service-model cell: the closed-loop run of this mix under this
+#: scheme must give the same payload (interleave digest included)
+#: whether its streams step on the interpreter or on the reference
+#: cursor.  150 files keep the OTT port queue busy.
+BATCHCHECK_SERVICE = ("2xFillseq-S+ManyFiles@25", "fsencr",
+                      {"Fillseq-S": 200, "ManyFiles@25": 150})
+
 
 def _batchcheck_factory(workload: str):
     from .workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
@@ -401,25 +408,44 @@ def _batchcheck_factory(workload: str):
 def _run_batchcheck(args) -> int:
     """Prove the batch path on the pinned grid: every cell's payload must
     be bit-identical to per-access execution, and the sweep must beat it
-    on throughput.  Timing is best-of-N per mode so a transient host
-    stall cannot fake a regression (or an improvement); the digests come
-    from the measured runs themselves.  Exit code is the number of
-    divergent cells.
+    on throughput.  The service cell runs the same stream mix with its
+    streams stepped on the interpreter, then on the reference cursor.
+    Timing is best-of-N per mode so a transient host stall cannot fake
+    a regression (or an improvement); the digests come from the
+    measured runs themselves.  Exit code is the number of divergent
+    cells.
     """
     import hashlib
     import json
     import time
+    from unittest import mock
 
     from .exec.spec import canonical_json
-    from .sim.batch import BatchRunner
+    from .sim import batch as batch_mod
     from .sim.config import MachineConfig
     from .sim.schemes import get_scheme
-    from .workloads.base import run_workload
+    from .sim.service import ClosedLoop, run_service
+    from .workloads.base import (
+        StreamSpec,
+        parse_stream_mix,
+        run_workload,
+        stream_factories,
+    )
 
     reps = max(1, args.reps)
+    mix, service_scheme, service_ops = BATCHCHECK_SERVICE
+    service_specs = [
+        StreamSpec(spec.workload, spec.count, ops=service_ops[spec.workload])
+        for spec in parse_stream_mix(mix)
+    ]
+
+    def run_service_cell():
+        config = get_scheme(service_scheme).configure(MachineConfig())
+        workloads = [factory() for factory in stream_factories(service_specs)]
+        return run_service(config, workloads, ClosedLoop())
 
     def sweep(use_batch: bool):
-        runner = BatchRunner() if use_batch else None
+        runner = batch_mod.BatchRunner() if use_batch else None
         digests = {}
         start = time.perf_counter()
         for workload_name, scheme_name in BATCHCHECK_CELLS:
@@ -433,6 +459,18 @@ def _run_batchcheck(args) -> int:
             digests[f"{workload_name}/{scheme_name}"] = hashlib.sha256(
                 blob.encode()
             ).hexdigest()
+        if use_batch:
+            service = run_service_cell()
+        else:
+            # The service model has no per-access mode of its own: take
+            # every stream outside the interpreter's envelope instead.
+            with mock.patch.object(batch_mod, "_supports_fast_path",
+                                   lambda machine: False):
+                service = run_service_cell()
+        blob = canonical_json(service.to_dict())
+        digests[f"service:{mix}/{service_scheme}"] = hashlib.sha256(
+            blob.encode()
+        ).hexdigest()
         return time.perf_counter() - start, digests
 
     direct_time, direct_digests = sweep(False)
@@ -444,7 +482,7 @@ def _run_batchcheck(args) -> int:
     mismatches = [
         cell for cell in direct_digests if direct_digests[cell] != batch_digests[cell]
     ]
-    cells = len(BATCHCHECK_CELLS)
+    cells = len(direct_digests)
     per_access_rate = cells / direct_time
     batched_rate = cells / batch_time
     speedup = direct_time / batch_time

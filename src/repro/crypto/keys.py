@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from typing import Optional
 
 from .aes import AES128
 from .otp import xor_bytes
@@ -76,24 +77,33 @@ class WrappedKey:
     tag: bytes
 
 
-def wrap_key(fek: bytes, fekek: bytes) -> WrappedKey:
-    """Encrypt ``fek`` under ``fekek`` with an authenticated tag."""
+def wrap_key(fek: bytes, fekek: bytes, cipher: Optional[AES128] = None) -> WrappedKey:
+    """Encrypt ``fek`` under ``fekek`` with an authenticated tag.
+
+    ``cipher`` is an already-keyed ``AES128(fekek)`` for callers that
+    wrap many keys under one FEKEK; without it the schedule is expanded
+    here.
+    """
     if len(fek) != KEY_SIZE:
         raise ValueError(f"FEK must be {KEY_SIZE} bytes, got {len(fek)}")
-    cipher = AES128(fekek)
-    ciphertext = cipher.encrypt_block(fek)
+    ciphertext = (cipher or AES128(fekek)).encrypt_block(fek)
     tag = hmac.new(fekek, b"fsencr-wrap" + ciphertext, hashlib.sha256).digest()[:16]
     return WrappedKey(ciphertext=ciphertext, tag=tag)
 
 
-def unwrap_key(wrapped: WrappedKey, fekek: bytes) -> bytes:
-    """Recover the FEK; raises :class:`KeyWrapError` on a bad passphrase."""
+def unwrap_key(wrapped: WrappedKey, fekek: bytes,
+               cipher: Optional[AES128] = None) -> bytes:
+    """Recover the FEK; raises :class:`KeyWrapError` on a bad passphrase.
+
+    ``cipher`` is an optional pre-keyed ``AES128(fekek)``, as for
+    :func:`wrap_key`.
+    """
     expected = hmac.new(
         fekek, b"fsencr-wrap" + wrapped.ciphertext, hashlib.sha256
     ).digest()[:16]
     if not hmac.compare_digest(expected, wrapped.tag):
         raise KeyWrapError("key unwrap failed integrity check (wrong passphrase?)")
-    return AES128(fekek).decrypt_block(wrapped.ciphertext)
+    return (cipher or AES128(fekek)).decrypt_block(wrapped.ciphertext)
 
 
 class KeyHierarchy:

@@ -14,6 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..crypto.aes import AES128
 from ..crypto.keys import (
     KeyWrapError,
     WrappedKey,
@@ -37,13 +38,20 @@ class SessionKeyring:
     # repr=False: the derived FEKEK is key material; session objects show
     # up in debug output and must not render it (key-hygiene lint rule).
     fekek: bytes = field(repr=False)
+    # The FEKEK's AES key schedule, expanded once at login and reused by
+    # every wrap/unwrap of the session (its decryption schedule is built
+    # on the first unwrap and cached the same way).
+    _cipher: AES128 = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._cipher = AES128(self.fekek)
 
     def wrap(self, fek: bytes) -> WrappedKey:
-        return wrap_key(fek, self.fekek)
+        return wrap_key(fek, self.fekek, self._cipher)
 
     def unwrap(self, wrapped: WrappedKey) -> bytes:
         try:
-            return unwrap_key(wrapped, self.fekek)
+            return unwrap_key(wrapped, self.fekek, self._cipher)
         except KeyWrapError as exc:
             raise KeyringError(f"uid {self.uid}: {exc}") from exc
 

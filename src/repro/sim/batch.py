@@ -1,4 +1,4 @@
-"""Batched trace execution: compile once, sweep flat micro-op arrays.
+"""Batched trace execution: compile once, sweep flat micro-op rows.
 
 The per-access path (``Machine.load`` -> ``MMU.translate`` ->
 ``CacheHierarchy.access`` -> ``controller.access`` -> ``NVMDevice``) is
@@ -12,10 +12,10 @@ boundaries and allocates request/outcome objects.  This module keeps the
    beyond the traceable API (functional byte access, crash lifecycle,
    multi-process) are detected and fall back to direct execution.
 2. **Compile** — :func:`compile_trace` expands the trace into flat
-   micro-op arrays (numpy when available: op kind ``uint8``, line
-   vaddr ``int64``, compute ``float64``), split into chunks at the rare
-   structural ops (create/open/mmap/mark).
-3. **Execute** — :func:`execute_compiled` sweeps the arrays with the
+   micro-op rows ``(op kind, line vaddr, compute ns)``, split into
+   chunks at the rare structural ops (create/open/mmap/mark), and records
+   where each trace op's micro-ops start.
+3. **Execute** — :func:`execute_compiled` sweeps the rows with the
    whole model inlined into one interpreter loop: TLB/cache/metadata
    lookups are direct ``OrderedDict`` probes, stats are accumulated in
    flat pend arrays and flushed per chunk, and every cold or rare path
@@ -25,6 +25,10 @@ boundaries and allocates request/outcome objects.  This module keeps the
    dispatch.  Machines the interpreter does not model (functional mode,
    histograms, multi-process, crash domains, Anubis) replay the trace
    through :func:`~repro.sim.trace.replay` instead.
+4. **Step** — :func:`step_compiled` runs the same interpreter one trace
+   op per ``next()``, which is how the service model
+   (:mod:`repro.sim.service`) interleaves streams.  Service-queue waits
+   are charged inline exactly as ``Machine._controller_access`` does.
 
 Bit-identity is the hard pin: the interpreter replicates the reference
 path's exact float-addition order (latencies accumulate into the clock
@@ -37,12 +41,7 @@ store), which are invisible to results and digests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-try:  # numpy is the intended array backend but must stay optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.fsencr import FsEncrController
 from ..mem.cache import Eviction
@@ -61,6 +60,7 @@ from .trace import (
     PERSIST,
     STORE,
     Trace,
+    TraceCursor,
     TraceOp,
     replay,
     resolve_mmap_handle,
@@ -73,9 +73,10 @@ __all__ = [
     "compile_trace",
     "execute_compiled",
     "run_workload_batch",
+    "step_compiled",
 ]
 
-# Micro-op kinds (the uint8 column of the compiled arrays).
+# Micro-op kinds (the first field of a compiled trace's rows).
 _ACC_READ = 0
 _ACC_WRITE = 1
 _FLUSH = 2
@@ -127,32 +128,38 @@ _META_KEYS = (
  _M_DIRTY_EV) = range(10)
 
 _OSIRIS_KEYS = ("updates", "forced_persists")
+_RARE_OPS = frozenset((CREATE, OPEN, MMAP, MARK))
 _NOT_MAPPED = object()  # overlay region-memo sentinel
 
 
 class CompiledTrace:
-    """A trace lowered to flat micro-op arrays plus its rare-op schedule.
+    """A trace lowered to flat micro-op rows plus its rare-op schedule.
 
-    ``kinds``/``addrs``/``ns`` are parallel arrays (numpy when
-    available), one row per micro-op: cache-line accesses, line flushes,
-    fences, and compute delays.  ``chunks`` lists ``(lo, hi)`` windows
-    between structural ops; ``rares[i]`` executes after ``chunks[i]``.
+    ``rows`` holds one ``(kind, line vaddr, compute ns)`` tuple per
+    micro-op: cache-line accesses, line flushes, fences, and compute
+    delays.  ``chunks`` lists ``(lo, hi)`` windows between structural ops;
+    ``rares[i]`` executes after ``chunks[i]``.  ``ops[j]`` is trace op
+    ``j``'s mnemonic and its micro-ops are
+    ``bounds[j]:bounds[j + 1]`` (empty for a structural op), which is
+    what lets the interpreter stop between any two trace ops.
     """
 
-    __slots__ = ("_trace", "_name", "_raw", "kinds", "addrs", "ns",
-                 "chunks", "rares")
+    __slots__ = ("_trace", "_name", "_raw", "rows", "chunks", "rares",
+                 "ops", "bounds")
 
-    def __init__(self, trace: Optional[Trace], kinds, addrs, ns,
+    def __init__(self, trace: Optional[Trace],
+                 rows: List[Tuple[int, int, float]],
                  chunks: List[Tuple[int, int]], rares: List[TraceOp],
+                 ops: List[str], bounds: List[int],
                  name: str = "", raw: Optional[list] = None) -> None:
         self._trace = trace
         self._name = name
         self._raw = raw
-        self.kinds = kinds
-        self.addrs = addrs
-        self.ns = ns
+        self.rows = rows
         self.chunks = chunks
         self.rares = rares
+        self.ops = ops
+        self.bounds = bounds
 
     @property
     def trace(self) -> Trace:
@@ -171,20 +178,23 @@ class CompiledTrace:
         return self._trace
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.rows)
 
 
 def _lower(records):
     """Lower raw op records — ``(op, addr, size, path, flag, ns, uid)``
-    tuples in TraceOp field order — to the flat micro-op arrays."""
-    kinds: List[int] = []
-    addrs: List[int] = []
-    ns: List[float] = []
+    tuples in TraceOp field order — to the flat micro-op rows."""
+    rows: List[Tuple[int, int, float]] = []
+    append = rows.append
     chunks: List[Tuple[int, int]] = []
     rares: List[TraceOp] = []
+    ops: List[str] = []
+    bounds: List[int] = []
     lo = 0
     for rec in records:
         mnemonic = rec[0]
+        ops.append(mnemonic)
+        bounds.append(len(rows))
         if mnemonic == LOAD or mnemonic == STORE or mnemonic == PERSIST:
             addr = rec[1]
             size = rec[2]
@@ -195,44 +205,29 @@ def _lower(records):
             kind = _ACC_READ if mnemonic == LOAD else _ACC_WRITE
             line = first
             while line <= last:
-                kinds.append(kind)
-                addrs.append(line)
-                ns.append(0.0)
+                append((kind, line, 0.0))
                 line += 64
             if mnemonic == PERSIST:
                 line = first
                 while line <= last:
-                    kinds.append(_FLUSH)
-                    addrs.append(line)
-                    ns.append(0.0)
+                    append((_FLUSH, line, 0.0))
                     line += 64
-                kinds.append(_FENCE)
-                addrs.append(0)
-                ns.append(0.0)
+                append((_FENCE, 0, 0.0))
         elif mnemonic == COMPUTE:
-            kinds.append(_COMPUTE)
-            addrs.append(0)
-            ns.append(rec[5] if rec[5] else float(rec[2]))
-        elif mnemonic in (CREATE, OPEN, MMAP, MARK):
-            chunks.append((lo, len(kinds)))
+            append((_COMPUTE, 0, rec[5] if rec[5] else float(rec[2])))
+        elif mnemonic in _RARE_OPS:
+            chunks.append((lo, len(rows)))
             rares.append(TraceOp(*rec))
-            lo = len(kinds)
+            lo = len(rows)
         else:
             raise ValueError(f"unknown trace op {mnemonic!r}")
-    chunks.append((lo, len(kinds)))
-    if _np is not None:
-        return (
-            _np.asarray(kinds, dtype=_np.uint8),
-            _np.asarray(addrs, dtype=_np.int64),
-            _np.asarray(ns, dtype=_np.float64),
-            chunks,
-            rares,
-        )
-    return kinds, addrs, ns, chunks, rares
+    chunks.append((lo, len(rows)))
+    bounds.append(len(rows))
+    return rows, chunks, rares, ops, bounds
 
 
 def compile_trace(trace: Trace) -> CompiledTrace:
-    """Lower a trace to micro-op arrays.
+    """Lower a trace to micro-op rows.
 
     Loads/stores expand to one access per covered cache line; a persist
     becomes its write accesses, then one flush per line, then a fence —
@@ -240,19 +235,16 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     rejected here (the per-access path raises the same ``ValueError``,
     just lazily at the offending op).
     """
-    kinds, addrs, ns, chunks, rares = _lower(
+    return CompiledTrace(trace, *_lower(
         (op.op, op.addr, op.size, op.path, op.flag, op.ns, op.uid)
         for op in trace.ops
-    )
-    return CompiledTrace(trace, kinds, addrs, ns, chunks, rares)
+    ))
 
 
 def _compile_raw(name: str, raw: list) -> CompiledTrace:
     """Compile straight from capture's raw tuples; the Trace object is
     only materialized if the replay fallback (or a save) needs it."""
-    kinds, addrs, ns, chunks, rares = _lower(raw)
-    return CompiledTrace(None, kinds, addrs, ns, chunks, rares,
-                         name=name, raw=raw)
+    return CompiledTrace(None, *_lower(raw), name=name, raw=raw)
 
 
 # ----------------------------------------------------------------------
@@ -373,11 +365,6 @@ def _supports_fast_path(machine: Machine) -> bool:
         return False
     if machine.latency_histogram is not None:
         return False
-    if machine.service_queues is not None:
-        # Service-model streams charge queueing delay per controller
-        # access; the inline interpreter knows nothing about it, so a
-        # stream machine always takes the reference path.
-        return False
     if len(machine._processes) != 1 or machine._current_pid != 0:
         return False
     controller = machine.controller
@@ -401,9 +388,45 @@ def execute_compiled(compiled: CompiledTrace, machine: Machine) -> None:
     controllers) replay the original trace through the reference path.
     """
     if _supports_fast_path(machine):
-        _interpret(compiled, machine)
+        for _ in _interpret(compiled, machine):
+            pass  # whole-trace mode never yields
     else:
         replay(compiled.trace, machine)
+
+
+def _replay_steps(ops: List[TraceOp], machine: Machine) -> Iterator[None]:
+    """The reference engine, one op per ``next()``."""
+    apply = TraceCursor(machine).apply
+    for op in ops:
+        apply(op)
+        yield
+
+
+def step_compiled(compiled: CompiledTrace, machine: Machine) -> Iterator[None]:
+    """Execute a compiled trace one trace op per ``next()``.
+
+    The engine is chosen as in :func:`execute_compiled`: the interpreter
+    inside its envelope, :class:`~repro.sim.trace.TraceCursor` replay
+    outside it.  Between steps the caller may move ``machine.clock_ns``
+    forward (an idle gap); the next step starts from it.  After the last
+    op, one more ``next()`` ends the iterator and flushes the
+    interpreter's deferred stats into the machine's registry.
+    """
+    if _supports_fast_path(machine):
+        return _interpret(compiled, machine, step=True)
+    return _replay_steps(compiled.trace.ops, machine)
+
+
+def _op_segments(compiled: CompiledTrace):
+    """One ``((lo, hi), rare op or None)`` window per trace op — the
+    step-mode counterpart of ``zip(chunks, rares + [None])``."""
+    rares = iter(compiled.rares)
+    bounds = compiled.bounds
+    return zip(
+        zip(bounds, bounds[1:]),
+        [next(rares) if mnemonic in _RARE_OPS else None
+         for mnemonic in compiled.ops],
+    )
 
 
 def run_workload_batch(config, workload):
@@ -444,12 +467,12 @@ def _workload_trace_key(config, workload) -> tuple:
 
 class BatchRunner:
     """Grid executor that compiles each workload once and sweeps the
-    arrays across schemes.
+    rows across schemes.
 
     This is where batching earns its keep: in an N-scheme comparison the
     workload's own Python (RNG, key mixing, op generation) runs once per
     encryption class instead of once per cell, and every cell is the
-    flat-array sweep.  Cells remain bit-identical to per-access runs —
+    flat-row sweep.  Cells remain bit-identical to per-access runs —
     the cache key only spans configs that provably record the same
     trace.
     """
@@ -475,13 +498,20 @@ class BatchRunner:
         return machine.result(workload.name)
 
 
-def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
+def _interpret(compiled: CompiledTrace, machine: Machine,
+               step: bool = False) -> Iterator[None]:
     """The inline interpreter.  One big function on purpose: every
     component's hot path is flattened into locals and closures so a
     line access costs dict probes, not call stacks.  Each inline block
     mirrors a specific reference method (named in the comments); any
     behavioural change there must be mirrored here — the golden-digest
     and batch-equivalence suites enforce the pairing.
+
+    A generator: with ``step=False`` it runs the whole trace in one
+    ``next()``, chunk by chunk; with ``step=True`` it yields after every
+    trace op, writing the clock back before each yield and reloading it
+    on resume.  Deferred stats are flushed before every structural op
+    and when the generator ends.
     """
     config = machine.config
     controller = machine.controller
@@ -1057,6 +1087,49 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                 pend_nvm[_N_PERSIST] += 1
             return latency + wlat
 
+    # -- Machine._controller_access, service-queue arm -----------------
+    queues = machine.service_queues
+    if queues is not None:
+        mc_serve = queues.mc.serve
+        port_serve = queues.ott.serve
+        if is_fsencr:
+            ott_counters = controller.ott.stats.counters
+            PORT_LAT = controller.ott.lookup_latency_ns
+
+            def ott_lookups() -> int:
+                """OTT hits + misses so far, pending and flushed."""
+                return pend_ott[0] + ott_counters["hits"] + ott_counters["misses"]
+        else:
+            def ott_lookups() -> int:
+                return 0
+
+        def queued(arrival: float, charged: float, lookups: int,
+                   factor: float) -> float:
+            """Wait for the MC queue, then the OTT port once per lookup
+            the access made; returns the clock after the access."""
+            wait = mc_serve(arrival, charged)
+            if lookups:
+                lookup_ns = PORT_LAT * factor
+                port_budget = charged
+                port_arrival = arrival + wait
+                for _ in range(lookups):
+                    service = lookup_ns if lookup_ns <= port_budget else port_budget
+                    port_wait = port_serve(port_arrival, service)
+                    wait += port_wait
+                    port_arrival += port_wait + service
+                    port_budget -= service
+            return arrival + (wait + charged)
+
+        def queued_read(clock: float, addr: int) -> float:
+            before = ott_lookups()
+            charged = ctrl_read(addr)  # factor 1.0: x * 1.0 == x exactly
+            return queued(clock, charged, ott_lookups() - before, 1.0)
+
+        def queued_write(clock: float, addr: int, persist: bool) -> float:
+            before = ott_lookups()
+            charged = ctrl_write(addr, persist) * wcf
+            return queued(clock, charged, ott_lookups() - before, wcf)
+
     # -- MMU / TLB ------------------------------------------------------
     tlb_entries = tlb._entries
     tlb_move = tlb_entries.move_to_end
@@ -1070,20 +1143,19 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
         region_for = machine._region_for
         region_memo: Dict[int, object] = {}
 
-    kinds = compiled.kinds if _np is None else compiled.kinds.tolist()
-    addrs = compiled.addrs if _np is None else compiled.addrs.tolist()
-    ns_col = compiled.ns if _np is None else compiled.ns.tolist()
-    chunks = compiled.chunks
-    rares = compiled.rares
+    rows = compiled.rows
+    if step:
+        segments = _op_segments(compiled)
+    else:
+        segments = zip(compiled.chunks, compiled.rares + [None])
 
     handles: Dict[str, object] = {}
     last_handle = None
     tlb_get = tlb_entries.get
     clock = machine.clock_ns
     try:
-        for chunk_index, (lo, hi) in enumerate(chunks):
-            for kind, addr, delay in zip(kinds[lo:hi], addrs[lo:hi],
-                                         ns_col[lo:hi]):
+        for (lo, hi), op in segments:
+            for kind, addr, delay in rows[lo:hi]:
                 if kind <= _ACC_WRITE:
                     # ---- Machine._access_line --------------------------
                     is_write = kind == _ACC_WRITE
@@ -1205,9 +1277,14 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                                         wb_line = victim_line
                                 entries3[line] = False
                     if miss:
-                        clock += ctrl_read(paddr)
-                        if wb_line >= 0:
-                            clock += ctrl_write(wb_line << 6, False) * wcf
+                        if queues is None:
+                            clock += ctrl_read(paddr)
+                            if wb_line >= 0:
+                                clock += ctrl_write(wb_line << 6, False) * wcf
+                        else:
+                            clock = queued_read(clock, paddr)
+                            if wb_line >= 0:
+                                clock = queued_write(clock, wb_line << 6, False)
 
                 elif kind == _FLUSH:
                     # ---- Machine._flush_line ---------------------------
@@ -1239,7 +1316,10 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                             clock += wpq_accept(clock)
                         else:
                             clock += _ADR_DRAIN_NS
-                        clock += ctrl_write(paddr, True) * wcf
+                        if queues is None:
+                            clock += ctrl_write(paddr, True) * wcf
+                        else:
+                            clock = queued_write(clock, paddr, True)
 
                 elif kind == _FENCE:
                     clock += _FENCE_NS
@@ -1247,10 +1327,9 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                     clock += delay
 
             # ---- rare structural op between chunks ---------------------
-            flush_stats()
-            machine.clock_ns = clock
-            if chunk_index < len(rares):
-                op = rares[chunk_index]
+            if op is not None:
+                flush_stats()
+                machine.clock_ns = clock
                 mnemonic = op.op
                 if mnemonic == CREATE:
                     last_handle = machine.create_file(
@@ -1268,6 +1347,10 @@ def _interpret(compiled: CompiledTrace, machine: Machine) -> None:
                 clock = machine.clock_ns
                 if overlay is not None:
                     region_memo.clear()
+            if step:
+                machine.clock_ns = clock
+                yield
+                clock = machine.clock_ns
     finally:
         flush_stats()
         machine.clock_ns = clock

@@ -28,7 +28,8 @@ Timing accounting (1 GHz: cycles == ns):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..fs.ext4dax import FileHandle
@@ -74,12 +75,46 @@ class ProcessContext:
     """One process's address-space state: its own MMU (page table +
     TLB) and mapped regions.  Processes share the caches, the
     controller, and the filesystem — like threads of different programs
-    on one socket."""
+    on one socket.
+
+    Regions are kept sorted by ``vpn_start``: mmap appends at the
+    ever-increasing ``next_vpn`` and munmap removes without reordering,
+    so ``region_starts`` (parallel to ``regions``) is a bisect index.
+    """
 
     pid: int
     mmu: MMU
-    regions: List[MappedRegion]
+    regions: List[MappedRegion] = field(default_factory=list)
+    region_starts: List[int] = field(default_factory=list)
     next_vpn: int = 0x1000
+
+    def add_region(self, pages: int, handle: Optional[FileHandle],
+                   file_page_start: int = 0) -> MappedRegion:
+        """Map ``pages`` at ``next_vpn`` and advance past a guard gap."""
+        region = MappedRegion(
+            vpn_start=self.next_vpn,
+            pages=pages,
+            handle=handle,
+            file_page_start=file_page_start,
+        )
+        self.regions.append(region)
+        self.region_starts.append(region.vpn_start)
+        self.next_vpn += pages + 8  # guard gap
+        return region
+
+    def region_for(self, vpn: int) -> Optional[MappedRegion]:
+        index = bisect_right(self.region_starts, vpn) - 1
+        if index >= 0 and self.regions[index].contains(vpn):
+            return self.regions[index]
+        return None
+
+    def pop_region(self, vpn_start: int) -> Optional[MappedRegion]:
+        """Remove and return the region starting at ``vpn_start``."""
+        index = bisect_left(self.region_starts, vpn_start)
+        if index == len(self.region_starts) or self.region_starts[index] != vpn_start:
+            return None
+        del self.region_starts[index]
+        return self.regions.pop(index)
 
 
 class Machine:
@@ -166,7 +201,7 @@ class Machine:
             stats=self.registry.create(f"mmu{suffix}"),
         )
         mmu.set_fault_handler(self._handle_fault)
-        context = ProcessContext(pid=pid, mmu=mmu, regions=[])
+        context = ProcessContext(pid=pid, mmu=mmu)
         self._processes[pid] = context
         return context
 
@@ -199,10 +234,6 @@ class Machine:
     @property
     def mmu(self) -> MMU:
         return self._process.mmu
-
-    @property
-    def _regions(self) -> List[MappedRegion]:
-        return self._process.regions
 
     @property
     def device(self) -> NVMDevice:
@@ -243,23 +274,12 @@ class Machine:
         """Map ``pages`` of an open file; returns the base virtual address."""
         if pages <= 0:
             raise ValueError("pages must be positive")
-        process = self._process
-        region = MappedRegion(
-            vpn_start=process.next_vpn,
-            pages=pages,
-            handle=handle,
-            file_page_start=file_page_start,
-        )
-        process.regions.append(region)
-        process.next_vpn += pages + 8  # guard gap
+        region = self._process.add_region(pages, handle, file_page_start)
         self.clock_ns += self.costs.syscall_ns
         return region.vpn_start * PAGE_SIZE
 
     def mmap_anonymous(self, pages: int) -> int:
-        process = self._process
-        region = MappedRegion(vpn_start=process.next_vpn, pages=pages, handle=None)
-        process.regions.append(region)
-        process.next_vpn += pages + 8
+        region = self._process.add_region(pages, None)
         self.clock_ns += self.costs.syscall_ns
         return region.vpn_start * PAGE_SIZE
 
@@ -267,27 +287,21 @@ class Machine:
         """Unmap the region starting at ``base_vaddr``: PTEs dropped,
         TLB shot down.  File contents persist (it is a DAX mapping, not
         the file); a fresh mmap sees them again."""
-        vpn = base_vaddr // PAGE_SIZE
         process = self._process
-        for index, region in enumerate(process.regions):
-            if region.vpn_start == vpn:
-                for mapped_vpn in range(region.vpn_start, region.vpn_start + region.pages):
-                    process.mmu.page_table.unmap(mapped_vpn)
-                    process.mmu.invalidate(mapped_vpn)
-                process.regions.pop(index)
-                self.clock_ns += self.costs.syscall_ns
-                return
-        raise ValueError(f"no mapping starts at {base_vaddr:#x}")
+        region = process.pop_region(base_vaddr // PAGE_SIZE)
+        if region is None:
+            raise ValueError(f"no mapping starts at {base_vaddr:#x}")
+        for mapped_vpn in range(region.vpn_start, region.vpn_start + region.pages):
+            process.mmu.page_table.unmap(mapped_vpn)
+            process.mmu.invalidate(mapped_vpn)
+        self.clock_ns += self.costs.syscall_ns
 
     # ------------------------------------------------------------------
     # Fault handling
     # ------------------------------------------------------------------
 
     def _region_for(self, vpn: int) -> Optional[MappedRegion]:
-        for region in self._regions:
-            if region.contains(vpn):
-                return region
-        return None
+        return self._process.region_for(vpn)
 
     def _alloc_anon_pfn(self) -> int:
         if self._next_anon_pfn >= self._anon_limit_pfn:
@@ -614,8 +628,8 @@ class Machine:
     def execute_trace(self, trace, batch: bool = False) -> None:
         """Re-execute a recorded trace on this machine.
 
-        ``batch=True`` lowers the trace to flat micro-op arrays and runs
-        the vectorized interpreter (:mod:`repro.sim.batch`); machines
+        ``batch=True`` lowers the trace to flat micro-op rows and runs
+        the inline interpreter (:mod:`repro.sim.batch`); machines
         outside the interpreter's envelope fall back to the reference
         replay.  Results are bit-identical either way.
         """

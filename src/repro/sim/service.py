@@ -18,8 +18,12 @@ points:
 The scheduler is event-driven over virtual time: at each step the
 stream with the earliest ready time runs its next trace op to
 completion (ties broken by stream id, so interleavings are total-order
-deterministic).  Two arrival policies gate *when* a measured op is
-ready:
+deterministic).  Each stream's trace is compiled once and stepped one
+op at a time on the batch interpreter
+(:func:`repro.sim.batch.step_compiled`); machines outside the
+interpreter's envelope step through the reference
+:class:`~repro.sim.trace.TraceCursor` instead, with identical results.
+Two arrival policies gate *when* a measured op is ready:
 
 * :class:`ClosedLoop` — a per-stream MLP window of ``window``
   outstanding requests: op ``i`` issues when op ``i - window``
@@ -40,10 +44,12 @@ golden digests reproduce bit-for-bit.  See ``docs/SERVICE.md``.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.ott import OTTPortQueue
 from ..mem.controller import MemoryControllerQueue
@@ -52,7 +58,7 @@ from .config import MachineConfig
 from .histograms import LatencyHistogram
 from .machine import Machine
 from .results import RunResult
-from .trace import LOAD, MARK, PERSIST, STORE, MultiStreamTrace, Trace, TraceCursor
+from .trace import LOAD, MARK, PERSIST, STORE, MultiStreamTrace, Trace
 
 __all__ = [
     "ClosedLoop",
@@ -144,27 +150,30 @@ class _Stream:
     """One stream's scheduling state."""
 
     __slots__ = (
-        "sid", "workload_name", "ops", "index", "machine", "cursor",
+        "sid", "workload_name", "ops", "index", "machine", "steps",
         "measuring", "samples", "histogram", "stats", "completions",
-        "rng", "next_arrival_ns", "mark_ns", "end_ns",
+        "rng", "next_arrival_ns", "mark_ns", "end_ns", "issue",
     )
 
     def __init__(
         self,
         sid: int,
-        trace: Trace,
+        workload_name: str,
+        ops: List[str],
+        steps: Iterator[None],
         machine: Machine,
         policy: ArrivalPolicy,
         registry: StatsRegistry,
     ) -> None:
         self.sid = sid
-        self.workload_name = trace.name
-        self.ops = trace.ops
+        self.workload_name = workload_name
+        self.ops = ops  # trace-op mnemonics; ``steps`` executes them
         self.index = 0
         self.machine = machine
-        self.cursor = TraceCursor(machine)
+        self.steps = steps
         self.measuring = False
-        self.samples: List[float] = []
+        # Response times, unboxed: callers keep whole results alive.
+        self.samples = array("d")
         self.histogram = LatencyHistogram(name=f"stream{sid}")
         self.stats = registry.create(f"stream{sid}")
         if isinstance(policy, ClosedLoop):
@@ -176,6 +185,7 @@ class _Stream:
         self.next_arrival_ns = 0.0
         self.mark_ns = 0.0
         self.end_ns = 0.0
+        self.issue = 0.0
 
     def done(self) -> bool:
         return self.index >= len(self.ops)
@@ -193,8 +203,7 @@ class _Stream:
         management) issue as soon as the stream's clock reaches them.
         """
         clock = self.machine.clock_ns
-        op = self.ops[self.index]
-        if not self.measuring or op.op not in _MEASURED_OPS:
+        if not self.measuring or self.ops[self.index] not in _MEASURED_OPS:
             return clock
         if self.completions is not None:  # closed loop
             if len(self.completions) == self.completions.maxlen:
@@ -204,10 +213,12 @@ class _Stream:
             return clock
         return self.next_arrival_ns  # open loop: may trail the clock
 
-    def ready_ns(self) -> float:
-        issue = self.issue_ns()
+    def next_key(self) -> Tuple[float, int]:
+        """The next op's scheduling key ``(ready_ns, sid)``; its issue
+        time is kept in ``issue`` until the op runs."""
+        issue = self.issue = self.issue_ns()
         clock = self.machine.clock_ns
-        return issue if issue > clock else clock
+        return (issue if issue > clock else clock, self.sid)
 
 
 @dataclass
@@ -217,7 +228,7 @@ class StreamServiceResult:
     sid: int
     workload: str
     run: RunResult
-    samples: List[float] = field(repr=False)
+    samples: "array[float]" = field(repr=False)
     histogram: LatencyHistogram = field(repr=False)
     measured_ops: int = 0
     mark_ns: float = 0.0
@@ -249,9 +260,9 @@ class ServiceResult:
     service_stats: Dict[str, int]
 
     @property
-    def samples(self) -> List[float]:
+    def samples(self) -> "array[float]":
         """All streams' response-time samples, stream-major order."""
-        pooled: List[float] = []
+        pooled = array("d")
         for stream in self.streams:
             pooled.extend(stream.samples)
         return pooled
@@ -329,75 +340,85 @@ def run_service(
     """Run N workload streams concurrently through shared queues.
 
     Each entry of ``workloads`` must be a *fresh* workload instance (it
-    is captured, then its ops replayed on the stream's machine).  The
+    is captured, compiled, then stepped on the stream's machine).  The
     returned per-stream :class:`RunResult` for a 1-stream closed-loop
     run is bit-identical to ``run_workload`` under the same config.
     """
-    from .batch import capture_workload
+    from .batch import _capture_raw, _compile_raw, step_compiled
 
+    if not workloads:
+        raise ValueError("a service run needs at least one stream")
     queues = ServiceQueues(registry=registry)
     streams: List[_Stream] = []
     for sid, workload in enumerate(workloads):
         machine = Machine(config)
         machine.attach_service_queues(queues, stream_id=sid)
         workload.setup(machine)
-        trace = capture_workload(machine, workload)
-        if trace is None:
+        stub = _capture_raw(machine, workload)
+        if stub is None:
             raise ValueError(
                 f"workload {workload.name!r} is not capturable; the service "
                 "model only runs trace-expressible streams"
             )
-        streams.append(_Stream(sid, trace, machine, policy, queues.registry))
+        compiled = _compile_raw(stub.name, stub.raw)
+        streams.append(_Stream(
+            sid, stub.name, compiled.ops, step_compiled(compiled, machine),
+            machine, policy, queues.registry,
+        ))
 
     digest = hashlib.sha256()
     open_policy = policy if isinstance(policy, OpenLoop) else None
-
-    while True:
-        best: Optional[_Stream] = None
-        best_key = None
-        for stream in streams:
-            if stream.done():
-                continue
-            key = (stream.ready_ns(), stream.sid)
-            if best_key is None or key < best_key:
-                best, best_key = stream, key
-        if best is None:
-            break
-
-        op = best.ops[best.index]
+    # Only the stream that just ran can change its ready time, so each
+    # stream's (ready_ns, sid) key is computed once per op it runs.
+    ready = [stream.next_key() for stream in streams if not stream.done()]
+    heapq.heapify(ready)
+    while ready:
+        best = streams[ready[0][1]]
+        index = best.index
+        op = best.ops[index]
         machine = best.machine
-        measured = best.measuring and op.op in _MEASURED_OPS
-        issue = best.issue_ns() if measured else machine.clock_ns
+        # Unmeasured ops issue at the clock; measured ones at their
+        # arrival, which may lie ahead of it (the stream idles until
+        # its request arrives or its window opens) or behind it.
+        issue = best.issue
         if issue > machine.clock_ns:
-            # The stream is idle until its request arrives (open loop)
-            # or its window opens (closed loop).
             machine.clock_ns = issue
         start = issue if issue < machine.clock_ns else machine.clock_ns
 
-        best.cursor.apply(op)
+        next(best.steps)
         completion = machine.clock_ns
-        best.stats.add("ops")
-        digest.update(
-            f"{best.sid}:{best.index}:{op.op}:{completion!r};".encode()
-        )
-        best.index += 1
+        digest.update(f"{best.sid}:{index}:{op}:{completion!r};".encode())
+        best.index = index = index + 1
 
-        if measured:
+        if best.measuring and op in _MEASURED_OPS:
             sample = completion - start
             best.samples.append(sample)
             best.histogram.record(sample)
-            best.stats.add("measured_ops")
             best.end_ns = completion
             if best.completions is not None:
                 best.completions.append(completion)
             elif open_policy is not None:
                 best.next_arrival_ns = start + best._gap_ns(open_policy)
-        elif op.op == MARK:
+        elif op == MARK:
             best.measuring = True
             best.mark_ns = completion
             best.end_ns = completion
             if open_policy is not None:
                 best.next_arrival_ns = completion + best._gap_ns(open_policy)
+
+        if index < len(best.ops):
+            heapq.heapreplace(ready, best.next_key())
+        else:
+            next(best.steps, None)  # ends the stepper: flushes its stats
+            heapq.heappop(ready)
+
+    for stream in streams:
+        # Per-stream op counts, added once rather than per op; a zero
+        # count is not added, so its key stays absent from the stats.
+        if stream.index:
+            stream.stats.add("ops", stream.index)
+        if stream.samples:
+            stream.stats.add("measured_ops", len(stream.samples))
 
     results = [
         StreamServiceResult(

@@ -77,7 +77,7 @@ def run_workload(
 
     ``batch=True`` routes through the compiled-trace executor
     (:mod:`repro.sim.batch`): the workload is captured once, lowered to
-    flat micro-op arrays, and swept through the inline interpreter.
+    flat micro-op rows, and swept through the inline interpreter.
     Results are bit-identical to the per-access path either way — the
     batch module falls back to direct execution for workloads or
     machine configurations outside its envelope.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto import generate_fek
+from repro.crypto import generate_fek, unwrap_key, wrap_key
 from repro.kernel import (
     Keyring,
     KeyringError,
@@ -88,6 +88,21 @@ class TestKeyring:
         wrapped = alice.wrap(generate_fek(b"e"))
         with pytest.raises(KeyringError):
             mallory.unwrap(wrapped)
+
+    def test_session_cipher_matches_fresh_key_schedule(self):
+        # The session reuses one key schedule; the bytes must be exactly
+        # what a freshly keyed wrap/unwrap produces.
+        session = Keyring().login(1000, "hunter2")
+        for index in range(3):
+            fek = generate_fek(bytes([index]))
+            wrapped = session.wrap(fek)
+            assert wrapped == wrap_key(fek, session.fekek)
+            assert session.unwrap(wrapped) == unwrap_key(wrapped, session.fekek) == fek
+
+    def test_session_repr_hides_key_material(self):
+        session = Keyring().login(1000, "hunter2")
+        assert session.fekek.hex() not in repr(session)
+        assert "cipher" not in repr(session)
 
     def test_same_passphrase_same_fekek(self):
         ring = Keyring()

@@ -22,7 +22,8 @@ from repro.sim import (
     run_workload_batch,
     scheme_names,
 )
-from repro.sim.batch import _supports_fast_path
+import repro.sim.batch as batch_mod
+from repro.sim.batch import _capture_raw, _compile_raw, _supports_fast_path, step_compiled
 from repro.sim.config import MachineConfig
 from repro.sim.trace import TraceOp
 from repro.workloads import make_dax_micro, make_pmemkv_workload, make_whisper_workload
@@ -145,6 +146,13 @@ class TestCompile:
         assert len(compiled.rares) == 3  # create, mmap, mark
         assert compiled.trace.ops[0].op == "create"
 
+    def test_per_op_bounds(self):
+        compiled = compile_trace(self._recorded_trace())
+        assert compiled.ops == ["create", "mmap", "mark", "store", "persist", "compute"]
+        # Op j's micro-ops are bounds[j]:bounds[j + 1]; structural ops
+        # are empty windows.
+        assert compiled.bounds == [0, 0, 0, 0, 2, 5, 6]
+
     def test_invalid_size_rejected_eagerly(self):
         trace = Trace(name="bad", ops=[TraceOp(op="load", addr=0, size=0)])
         with pytest.raises(ValueError, match="size"):
@@ -177,6 +185,45 @@ class TestCompile:
         b.add_user(uid=1000, gid=100, passphrase="pw")
         b.execute_trace(trace, batch=False)
         assert a.result("t").to_dict() == b.result("t").to_dict()
+
+
+class TestStepping:
+    """``step_compiled``: one trace op per ``next()``, same results."""
+
+    @staticmethod
+    def _prepared(scheme_name, workload_name):
+        machine = Machine(get_scheme(scheme_name).configure(MachineConfig()))
+        workload = _FACTORIES[workload_name]()
+        workload.setup(machine)
+        stub = _capture_raw(machine, workload)
+        return machine, workload.name, _compile_raw(stub.name, stub.raw)
+
+    @pytest.mark.parametrize("workload_name", sorted(_FACTORIES))
+    @pytest.mark.parametrize("scheme_name", ["ext4dax_plain", "fsencr", "fsencr+wpq"])
+    def test_steps_match_whole_trace(self, scheme_name, workload_name):
+        whole, name, compiled = self._prepared(scheme_name, workload_name)
+        execute_compiled(compiled, whole)
+        stepped, _, compiled = self._prepared(scheme_name, workload_name)
+        assert sum(1 for _ in step_compiled(compiled, stepped)) == len(compiled.ops)
+        assert stepped.result(name).to_dict() == whole.result(name).to_dict()
+
+    @pytest.mark.parametrize("scheme_name", ["baseline_secure", "fsencr", "conventional"])
+    def test_clock_moves_between_steps_match_reference(self, monkeypatch, scheme_name):
+        """Idle gaps written to ``machine.clock_ns`` between ops (what
+        the service scheduler does) land identically on both engines."""
+        def run():
+            machine, name, compiled = self._prepared(scheme_name, "Fillseq-S")
+            steps = step_compiled(compiled, machine)
+            for index in range(len(compiled.ops)):
+                if index % 3 == 0:
+                    machine.clock_ns += 7.25
+                next(steps)
+            assert next(steps, None) is None
+            return machine.result(name).to_dict()
+
+        interpreted = run()
+        monkeypatch.setattr(batch_mod, "_supports_fast_path", lambda machine: False)
+        assert run() == interpreted
 
 
 class TestFastPathGate:

@@ -29,6 +29,37 @@ class TestFileLifecycle:
         b = m.mmap(h, pages=4)
         assert abs(a - b) >= 4 * PAGE_SIZE
 
+    def test_region_lookup_edges(self):
+        m = make_machine()
+        h = m.create_file("/pmem/f", uid=1000)
+        a = m.mmap(h, pages=4) // PAGE_SIZE
+        b = m.mmap(h, pages=2, file_page_start=4) // PAGE_SIZE
+        # First and last page of each region; the guard gap maps nothing.
+        assert m._region_for(a).vpn_start == a
+        assert m._region_for(a + 3).vpn_start == a
+        assert m._region_for(a + 4) is None
+        assert m._region_for(b - 1) is None
+        assert m._region_for(a - 1) is None
+        assert m._region_for(b).file_page(b + 1) == 5
+        assert m._region_for(b + 2) is None
+
+    def test_region_lookup_after_munmap(self):
+        m = make_machine()
+        h = m.create_file("/pmem/f", uid=1000)
+        bases = [m.mmap(h, pages=2) for _ in range(3)]
+        m.munmap(bases[1])
+        first, middle, last = (base // PAGE_SIZE for base in bases)
+        assert m._region_for(middle) is None
+        assert m._region_for(middle + 1) is None
+        assert m._region_for(first + 1).vpn_start == first
+        assert m._region_for(last).vpn_start == last
+        with pytest.raises(ValueError):
+            m.munmap(bases[1])
+        # Later mappings still land above every earlier one.
+        fresh = m.mmap(h, pages=1) // PAGE_SIZE
+        assert fresh > last
+        assert m._region_for(fresh).vpn_start == fresh
+
     def test_permissions_enforced_via_machine(self):
         m = make_machine()
         m.users.add_user(2000, 200)

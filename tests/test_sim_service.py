@@ -10,6 +10,9 @@ samples, and queue stats across runs and across worker-process counts.
 
 from __future__ import annotations
 
+from array import array
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.tails import (
@@ -22,6 +25,7 @@ from repro.analysis.tails import (
 from repro.exec import ExperimentRunner
 from repro.exec.spec import CellSpec, canonical_json, execute_cell, payload_to_curves
 from repro.mem.controller import MemoryControllerQueue, ServiceQueue
+import repro.sim.batch as batch_mod
 from repro.sim.batch import _supports_fast_path, capture_workload
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -117,6 +121,89 @@ def test_loadcurve_cell_identical_under_jobs_2():
     serial = ExperimentRunner(1, use_cache=False).run([spec])[0].payload
     parallel = ExperimentRunner(2, use_cache=False).run([spec])[0].payload
     assert canonical_json(serial) == canonical_json(parallel)
+
+
+# ----------------------------------------------------------------------
+# Engines: the interpreter and the reference cursor agree exactly
+# ----------------------------------------------------------------------
+
+
+def _engine_mix():
+    return [factory() for factory in stream_factories(
+        [StreamSpec("Fillseq-S", 2, ops=40), StreamSpec("ManyFiles@25")]
+    )]
+
+
+def _run_both_engines(monkeypatch, config, make_workloads, policy):
+    interpreted = []
+    real_interpret = batch_mod._interpret
+
+    def counting_interpret(compiled, machine, step=False):
+        interpreted.append(step)
+        return real_interpret(compiled, machine, step)
+
+    workloads = make_workloads()
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_mod, "_interpret", counting_interpret)
+        stepped = run_service(config, workloads, policy)
+    # Every stream inside the envelope really ran on the interpreter.
+    in_envelope = _supports_fast_path(Machine(config))
+    assert interpreted == ([True] * len(workloads) if in_envelope else [])
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_mod, "_supports_fast_path", lambda machine: False)
+        reference = run_service(config, make_workloads(), policy)
+    return stepped, reference
+
+
+_ENGINE_POLICIES = {
+    "closed1": ClosedLoop(1),
+    "closed4": ClosedLoop(4),
+    "open": OpenLoop(interarrival_ns=300.0, seed=0x5EED),
+}
+
+
+@pytest.mark.parametrize("policy_name", sorted(_ENGINE_POLICIES))
+@pytest.mark.parametrize("scheme_name", scheme_names())
+def test_service_engines_identical(monkeypatch, scheme_name, policy_name):
+    config = get_scheme(scheme_name).configure(MachineConfig())
+    stepped, reference = _run_both_engines(
+        monkeypatch, config, _engine_mix, _ENGINE_POLICIES[policy_name])
+    assert stepped.to_dict() == reference.to_dict()
+    assert stepped.samples == reference.samples
+    for mine, theirs in zip(stepped.streams, reference.streams):
+        assert mine.samples == theirs.samples
+
+
+def test_service_engines_identical_under_ott_port_traffic(monkeypatch):
+    # Enough files that FECB misses make OTT lookups inside controller
+    # accesses, and an OTT small enough that some of them miss, so the
+    # inline port-queue loop counts both pending hits and flushed misses.
+    config = replace(get_scheme("fsencr").configure(MachineConfig()),
+                     ott_banks=1, ott_entries_per_bank=16)
+    stepped, reference = _run_both_engines(
+        monkeypatch, config,
+        lambda: [factory() for factory in stream_factories(
+            [StreamSpec("ManyFiles@25", 3, ops=150)])],
+        ClosedLoop(),
+    )
+    assert stepped.ott_queue["requests"] > 0
+    assert stepped.mc_queue["contended"] > 0
+    assert all(stream.run.stat("ott.misses") > 0 for stream in stepped.streams)
+    assert stepped.to_dict() == reference.to_dict()
+    assert stepped.samples == reference.samples
+
+
+def test_service_samples_are_unboxed_and_value_identical():
+    config = get_scheme("baseline_secure").configure(MachineConfig())
+    service = run_service(config, _small_mix(), ClosedLoop())
+    pooled = []
+    for stream in service.streams:
+        assert isinstance(stream.samples, array)
+        assert stream.samples.typecode == "d"
+        assert len(stream.samples) == stream.measured_ops
+        pooled.extend(stream.samples)
+    assert list(service.samples) == pooled
+    assert percentile_summary(service.samples) == percentile_summary(pooled)
 
 
 # ----------------------------------------------------------------------
@@ -222,13 +309,21 @@ def test_service_queue_classes_covered_by_stats_registered_lint():
 # ----------------------------------------------------------------------
 
 
-def test_service_machine_outside_batch_fast_path():
+def test_service_machine_inside_batch_fast_path():
+    # Queue-attached machines step on the interpreter: the service-queue
+    # branch of the envelope is gone.
     config = get_scheme("fsencr").configure(MachineConfig())
     machine = Machine(config)
     assert _supports_fast_path(machine)
     machine.attach_service_queues(ServiceQueues(), stream_id=3)
     assert machine.stream_id == 3
-    assert not _supports_fast_path(machine)
+    assert _supports_fast_path(machine)
+
+
+def test_empty_stream_list_rejected():
+    config = get_scheme("fsencr").configure(MachineConfig())
+    with pytest.raises(ValueError, match="at least one stream"):
+        run_service(config, [], ClosedLoop())
 
 
 def test_uncapturable_stream_raises():
